@@ -22,8 +22,7 @@ pub struct Dbta {
 
 /// Structural equality: same alphabet, state count, transition tables, and
 /// final set — i.e. literally the same automaton, not mere language
-/// equivalence. This is what determinism tests over parallel constructions
-/// compare.
+/// equivalence.
 impl PartialEq for Dbta {
     fn eq(&self, other: &Self) -> bool {
         Alphabet::same(&self.alphabet, &other.alphabet)

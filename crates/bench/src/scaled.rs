@@ -1,12 +1,10 @@
 //! The scaled walk-route instance family: seeded, DSL-generated 1-pebble
-//! walking automata engineered so the Theorem 4.7 frontier saturates and
-//! the work-stealing crew has real work to steal.
+//! walking automata engineered so the Theorem 4.7 frontier saturates.
 //!
 //! The flagship Q2/mod-3 instance collapses under projected memoization
-//! (66 distinct fixpoint runs), so its frontier never reaches the parallel
-//! gate — which is the *point* of the gate, but leaves nothing to measure
-//! scaling on. The machines here are built in the opposite direction, in
-//! two layers:
+//! (66 distinct fixpoint runs), which leaves nothing to measure kernel
+//! cost on. The machines here are built in the opposite direction, in two
+//! layers:
 //!
 //! * A fixed **diversity core** of [`CORE`] states carries all the
 //!   behavioural nondeterminism: per-binary Down clusters, forks, sparse
@@ -26,15 +24,12 @@
 //!
 //! Each instance is a pure function of `(states, seed)` — byte-identical
 //! machines on every host, which is what lets `tests/walk_determinism.rs`
-//! replay the same frontier at 1/2/8 threads and assert a byte-identical
-//! DBTA.
+//! pin the DBTA the frontier builds.
 
 use std::sync::Arc;
-use std::time::Instant;
 use xmltc_core::machine::{Guard, Move, PebbleAutomaton};
 use xmltc_transducer_dsl::{MachineSpec, Syms};
 use xmltc_trees::{Alphabet, SmallRng};
-use xmltc_typecheck::walk::{walking_to_dbta_with, WalkOptions, WalkStats};
 
 /// Binary symbols in the scaled alphabet (each owns a target cluster).
 pub const BINARIES: usize = 6;
@@ -42,9 +37,8 @@ pub const BINARIES: usize = 6;
 pub const LEAVES: usize = 4;
 /// Size of the diversity core. All nondeterministic structure lives here;
 /// sized so the behaviour-class count lands near 460 — small enough that
-/// the `6·m²` sequential pair replay stays a fraction of the job work the
-/// crew can actually parallelize, large enough to keep thousands of
-/// distinct jobs in flight.
+/// the `6·m²` pair replay stays a fraction of the composition work, large
+/// enough to keep thousands of distinct jobs in flight.
 pub const CORE: usize = 12;
 /// Up-moves land only in core states `c0..c{UP_TARGETS}`, capping the
 /// exit-mask lattice so the behaviour closure converges.
@@ -56,45 +50,6 @@ pub fn scaled_alphabet() -> Arc<Alphabet> {
     let leaves: Vec<String> = (0..LEAVES).map(|j| format!("l{j}")).collect();
     let bins: Vec<String> = (0..BINARIES).map(|j| format!("b{j}")).collect();
     Alphabet::ranked(&leaves, &bins)
-}
-
-/// One instance of the family: a name for bench rows, a state count, and
-/// the RNG seed that makes the machine reproducible.
-#[derive(Clone, Copy, Debug)]
-pub struct ScaledSpec {
-    /// Instance name as it appears in bench JSON and `--family` output.
-    pub name: &'static str,
-    /// Walking-automaton state count (core + padding).
-    pub states: usize,
-    /// Seed for the generator's RNG stream.
-    pub seed: u64,
-}
-
-/// The `walk-scale` family roster, smallest first. `quick` keeps only the
-/// smallest instance (the CI smoke budget).
-pub fn walk_scale_specs(quick: bool) -> Vec<ScaledSpec> {
-    let all = [
-        ScaledSpec {
-            name: "ws-128",
-            states: 128,
-            seed: 0xA11CE,
-        },
-        ScaledSpec {
-            name: "ws-512",
-            states: 512,
-            seed: 0xA11CE,
-        },
-        ScaledSpec {
-            name: "ws-1024",
-            states: 1024,
-            seed: 0xA11CE,
-        },
-    ];
-    if quick {
-        all[..1].to_vec()
-    } else {
-        all.to_vec()
-    }
 }
 
 /// Generates one scaled walking automaton: a [`CORE`]-state random core
@@ -360,64 +315,11 @@ fn gen_with(al: &Arc<Alphabet>, n: usize, seed: u64, p: GenParams) -> PebbleAuto
         .expect("scaled walker spec is well-formed")
 }
 
-/// Builds the automaton for one roster entry.
-pub fn build(spec: &ScaledSpec) -> PebbleAutomaton {
-    scaled_walker(&scaled_alphabet(), spec.states, spec.seed)
-}
-
-/// One measured point on a scaling curve.
-#[derive(Clone, Debug)]
-pub struct ScalePoint {
-    /// Worker threads requested.
-    pub threads: usize,
-    /// Best-of-reps wall time for the DBTA construction, milliseconds.
-    pub wall_ms: f64,
-    /// Construction counters from the measured run.
-    pub stats: WalkStats,
-}
-
-/// Times `walking_to_dbta_with` on `a` at each requested thread count,
-/// best-of-`reps`, forcing the worker crew past the job-count gate so the
-/// curve measures the scheduler rather than the gate. Returns the points
-/// plus the DBTA state count (identical at every thread count — asserted).
-pub fn scale_curve(a: &PebbleAutomaton, threads: &[usize], reps: usize) -> (Vec<ScalePoint>, u64) {
-    let mut points = Vec::new();
-    let mut dbta_states = None;
-    for &t in threads {
-        let opts = WalkOptions {
-            threads: t,
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let mut best: Option<(f64, WalkStats, u32)> = None;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            let (d, stats) = walking_to_dbta_with(a, &opts).expect("scaled instance converges");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            if best.as_ref().is_none_or(|(b, _, _)| ms < *b) {
-                best = Some((ms, stats, d.n_states()));
-            }
-        }
-        let (wall_ms, stats, states) = best.unwrap();
-        match dbta_states {
-            None => dbta_states = Some(states as u64),
-            Some(prev) => assert_eq!(
-                prev, states as u64,
-                "thread count changed the DBTA state count"
-            ),
-        }
-        points.push(ScalePoint {
-            threads: t,
-            wall_ms,
-            stats,
-        });
-    }
-    (points, dbta_states.unwrap_or(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+    use xmltc_typecheck::walk::{walking_to_dbta_with, WalkOptions};
 
     #[test]
     fn scaled_family_is_deterministic() {
@@ -481,8 +383,7 @@ mod tests {
 
     #[test]
     fn smallest_instance_converges_and_saturates() {
-        let spec = walk_scale_specs(true)[0];
-        let a = build(&spec);
+        let a = scaled_walker(&scaled_alphabet(), 128, 0xA11CE);
         // The explicit limit turns a generator regression (divergent
         // behaviour closure) into a fast test failure instead of a hang.
         let opts = WalkOptions {
@@ -491,8 +392,7 @@ mod tests {
         };
         let (d, stats) = walking_to_dbta_with(&a, &opts).unwrap();
         println!(
-            "ws-{}: dbta_states={} misses={} pairs={} steps={} rounds={}",
-            spec.states,
+            "ws-128: dbta_states={} misses={} pairs={} steps={} rounds={}",
             d.n_states(),
             stats.memo_misses,
             stats.pairs,

@@ -6,11 +6,9 @@
 //! begin/end events become `B`/`E` duration events, instants become `i`,
 //! and counter samples become `C` counter tracks.
 //!
-//! Display tracks follow thread *names*, not raw thread ids: successive
-//! short-lived worker crews that reuse a name (the walk frontier spawns a
-//! fresh `walk-worker-{i}` per generation) merge into one stable per-worker
-//! track, which is what a human wants to look at. Unnamed threads keep a
-//! track per journal tid.
+//! Display tracks follow thread *names*, not raw thread ids: short-lived
+//! threads that reuse a name merge into one stable track, which is what a
+//! human wants to look at. Unnamed threads keep a track per journal tid.
 
 use crate::journal::Journal;
 use crate::json::Json;

@@ -18,8 +18,8 @@
 //!   from one shared [`Instant`], so cross-thread ordering is meaningful.
 //! * [`take`] stops recording and returns the [`Journal`]: every flushed
 //!   per-thread buffer, in registration order (main thread first in
-//!   practice). Threads still running at [`take`] (none in this workspace:
-//!   all workers are scoped and joined) flush into the *next* session.
+//!   practice). Threads still running at [`take`] flush into the *next*
+//!   session.
 //!
 //! Counters come in two flavours: [`counter`] records an absolute sample,
 //! while [`counter_add`] accumulates a per-thread running total (backing
@@ -43,8 +43,7 @@ pub struct ThreadEvents {
     /// Dense journal-assigned thread id (registration order).
     pub tid: u64,
     /// The OS thread's name at registration time (empty when unnamed).
-    /// Threads sharing a name (e.g. successive `walk-worker-0` crews)
-    /// merge into one display track on export.
+    /// Threads sharing a name merge into one display track on export.
     pub name: String,
     /// The thread's events, in emission order.
     pub events: Vec<Event>,

@@ -50,8 +50,8 @@ impl Json {
 
     /// Follows a dotted path through nested objects, e.g.
     /// `route_walk.memo_hits`. A numeric segment indexes into an array, so
-    /// `walk_scaling.instances.0.curve.0.wall_ms` reaches inside the
-    /// scaling curves. Keys themselves must not contain dots.
+    /// `engines.lazy.spans.0.wall_ms` reaches inside a report's span list.
+    /// Keys themselves must not contain dots.
     pub fn at(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
         for key in path.split('.') {

@@ -20,14 +20,16 @@
 //!   key concurrently, exactly one builds; the rest block on a
 //!   [`Condvar`] and receive the same `Arc` (counted as *coalesced*, not
 //!   as misses). Build errors propagate to every waiter and are **not**
-//!   cached, so a transient failure doesn't poison the key.
+//!   cached, so a transient failure doesn't poison the key. A build that
+//!   panics publishes an error the same way, so no caller ever waits on a
+//!   leader that is gone.
 //! * **Atomic stats** — hits/misses/evictions/coalesces, globally and per
 //!   artifact kind, readable without taking the map lock.
 
 use crate::key::{ArtifactKey, ArtifactKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use xmltc_automata::Nta;
 use xmltc_dtd::Dtd;
 use xmltc_xmlql::pipeline::{DocumentPipeline, DocumentVerdict};
@@ -163,6 +165,50 @@ struct Flight {
     done: Condvar,
 }
 
+/// The leader's duty to retire its [`Flight`]: unregister it, cache an
+/// `Ok` result and wake the waiters. Dropped without [`Leader::publish`]
+/// — the build panicked — it publishes an error instead, so waiters and
+/// later callers for the key never block on a leader that is gone.
+struct Leader<'a> {
+    cache: &'a ArtifactCache,
+    key: ArtifactKey,
+    flight: Arc<Flight>,
+    published: bool,
+}
+
+impl Leader<'_> {
+    fn publish(&mut self, result: &Result<Artifact, String>) {
+        self.published = true;
+        // Poison-tolerant: this also runs while a panic unwinds.
+        let mut inner = self
+            .cache
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.inflight.remove(&self.key);
+        if let Ok(artifact) = result {
+            self.cache
+                .insert_locked(&mut inner, self.key, artifact.clone());
+        }
+        drop(inner);
+        let mut slot = self
+            .flight
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *slot = Some(result.clone());
+        self.flight.done.notify_all();
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            self.publish(&Err("artifact build panicked".into()));
+        }
+    }
+}
+
 struct Entry {
     artifact: Artifact,
     bytes: usize,
@@ -209,7 +255,8 @@ impl ArtifactCache {
     /// Concurrent callers for the same key are single-flighted: one runs
     /// `build` (without holding the cache lock), the others wait and share
     /// the result. `Err` results propagate to all waiters but are not
-    /// retained.
+    /// retained. If `build` panics, the panic continues in the leader
+    /// while every waiter receives `Err("artifact build panicked")`.
     pub fn get_or_build(
         &self,
         key: ArtifactKey,
@@ -237,20 +284,18 @@ impl ArtifactCache {
                     inner.inflight.insert(key, flight.clone());
                     drop(inner);
                     // Leader: build outside the lock.
+                    let mut leader = Leader {
+                        cache: self,
+                        key,
+                        flight,
+                        published: false,
+                    };
                     let result = build();
-                    let mut inner = self.inner.lock().unwrap();
-                    inner.inflight.remove(&key);
-                    if let Ok(artifact) = &result {
-                        self.insert_locked(&mut inner, key, artifact.clone());
-                    }
-                    drop(inner);
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
                     self.stats.per_kind[key.kind.index()]
                         .misses
                         .fetch_add(1, Ordering::Relaxed);
-                    let mut slot = flight.slot.lock().unwrap();
-                    *slot = Some(result.clone());
-                    flight.done.notify_all();
+                    leader.publish(&result);
                     return (result, CacheOutcome::Miss);
                 }
             }
@@ -458,5 +503,55 @@ mod tests {
         let s = cache.snapshot();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits + s.coalesces, (THREADS - 1) as u64);
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_waiters() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        let cache = Arc::new(ArtifactCache::new(ArtifactCache::DEFAULT_BUDGET));
+        let key = dtd_key("root := a*\na := @eps");
+        let (started_tx, started) = mpsc::channel();
+        let leader = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_build(key, || {
+                        started_tx.send(()).unwrap();
+                        // Fail only once the second caller holds the flight
+                        // (map entry + this leader + the waiter's clone).
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while Instant::now() < deadline
+                            && Arc::strong_count(&cache.inner.lock().unwrap().inflight[&key]) < 3
+                        {
+                            std::thread::yield_now();
+                        }
+                        panic!("build blew up");
+                    })
+                }))
+                .is_err()
+            })
+        };
+        started.recv().unwrap();
+        let (done_tx, done) = mpsc::channel();
+        let waiter = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let r = cache.get_or_build(key, || Ok(dtd_artifact("root := a*\na := @eps")));
+                let _ = done_tx.send(r);
+            })
+        };
+        let (r, o) = done
+            .recv_timeout(Duration::from_secs(2))
+            .expect("second caller blocked on a panicked leader");
+        assert_eq!(o, CacheOutcome::Coalesced);
+        assert_eq!(r.unwrap_err(), "artifact build panicked");
+        assert!(leader.join().unwrap(), "the panic reaches the leader");
+        waiter.join().unwrap();
+        // Nothing was cached and the key is free: the next caller builds.
+        assert_eq!(cache.snapshot().entries, 0);
+        let (r, o) = cache.get_or_build(key, || Ok(dtd_artifact("root := a*\na := @eps")));
+        assert!(r.is_ok());
+        assert_eq!(o, CacheOutcome::Miss);
     }
 }

@@ -16,9 +16,12 @@
 //! typecheck := "input_dtd": text, "stylesheet": text, "output_dtd": text,
 //!              "route"?: "auto"|"walk"|"mso",
 //!              "engine"?: "auto"|"lazy"|"eager",
-//!              "state_limit"?: uint, "threads"?: uint, "explain"?: bool
+//!              "state_limit"?: uint, "explain"?: bool
 //! batch     := "requests": [request...]      (no nested batches)
 //! ```
+//!
+//! Unknown fields are ignored. That includes the `"threads"` field older
+//! clients send: the walk solver is sequential, so it has nothing to set.
 //!
 //! Responses: `{ "id"?: uint, "ok": bool, "cmd": CMD, ... }`. Successful
 //! typechecks carry a deterministic `"result"` object (byte-identical for
@@ -50,8 +53,6 @@ pub struct TypecheckParams {
     pub engine: String,
     /// State budget for intermediate automata.
     pub state_limit: u32,
-    /// Walk-route worker threads (0 = server default).
-    pub threads: usize,
     /// Whether to assemble the provenance report.
     pub explain: bool,
 }
@@ -71,7 +72,6 @@ impl TypecheckParams {
                 _ => Engine::Auto,
             },
             state_limit: self.state_limit,
-            threads: self.threads,
             ..TypecheckOptions::default()
         }
     }
@@ -188,13 +188,6 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 )
                 .map_err(|_| "`state_limit` out of range".to_string())?,
             };
-            let threads = match value.get("threads") {
-                None => 0,
-                Some(v) => v
-                    .as_u64()
-                    .ok_or("`threads` must be a non-negative integer")?
-                    as usize,
-            };
             let explain = match value.get("explain") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
@@ -207,7 +200,6 @@ fn parse_value(value: &Json, allow_batch: bool) -> Result<Envelope, String> {
                 route: enum_field(value, "route", &["auto", "walk", "mso"])?,
                 engine: enum_field(value, "engine", &["auto", "lazy", "eager"])?,
                 state_limit,
-                threads,
                 explain,
             }))
         }
@@ -249,7 +241,6 @@ mod tests {
         assert_eq!(p.route, "auto");
         assert_eq!(p.engine, "auto");
         assert_eq!(p.state_limit, TypecheckOptions::default().state_limit);
-        assert_eq!(p.threads, 0);
         assert!(!p.explain);
     }
 

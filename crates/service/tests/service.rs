@@ -122,6 +122,20 @@ fn counterexample_verdicts_cache_and_replay_identically() {
         field(&cold, "result").encode(),
         field(&warm, "result").encode()
     );
+    // Older clients still send `threads`; the server ignores it, so the
+    // request shares the verdict artifact and its exact bytes.
+    let mut legacy = typecheck_request(BAD_OUTPUT_DTD, 3);
+    let Json::Object(fields) = &mut legacy else {
+        unreachable!("requests are objects");
+    };
+    fields.push(("threads".into(), Json::U64(4)));
+    let legacy = client.roundtrip(&legacy).unwrap();
+    assert_eq!(field(&legacy, "ok"), &Json::Bool(true));
+    assert_eq!(field(&legacy, "cache.verdict").as_str(), Some("hit"));
+    assert_eq!(
+        field(&cold, "result").encode(),
+        field(&legacy, "result").encode()
+    );
     client
         .roundtrip(&Json::obj(vec![("cmd", Json::Str("shutdown".into()))]))
         .unwrap();

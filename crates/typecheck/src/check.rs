@@ -54,25 +54,11 @@ pub struct TypecheckOptions {
     /// behaviour classes, lazy product configurations). `u32::MAX` =
     /// unlimited.
     pub state_limit: u32,
-    /// Worker threads for the walk route's composition frontier. `0`
-    /// (the default) resolves via [`crate::walk::resolve_threads`]: the
-    /// `XMLTC_THREADS` environment variable if set, else the machine's
-    /// available parallelism. The verdict and every constructed automaton
-    /// are identical for every thread count.
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub threads: usize,
-    /// Minimum walk-frontier batch size before worker threads are spawned;
-    /// batches below it run sequentially even with `threads > 1`, so an
-    /// auto-resolved thread count never loses to `--threads 1` on small
-    /// instances. `0` (the default) resolves via
-    /// [`crate::walk::resolve_parallel_threshold`]; `1` forces the
-    /// parallel path. Like `threads`, this cannot change any verdict or
-    /// automaton — only wall time.
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub parallel_threshold: usize,
-    /// Jobs per work-stealing chunk of the walk route's parallel frontier.
-    /// `0` (the default) resolves via [`crate::walk::resolve_chunk`] (the
-    /// `XMLTC_CHUNK` environment variable, else
-    /// [`crate::walk::WORK_CHUNK`]). Like `threads`, this cannot change
-    /// any verdict or automaton — only wall time.
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub chunk: usize,
 }
 

@@ -27,8 +27,8 @@
 //! # Performance architecture
 //!
 //! The construction is organized around a dense bitset kernel, projected
-//! memo keys, and a work-stealing frontier, while staying bit-identical to
-//! the reference nested-loop build:
+//! memo keys and incremental frontier discovery, while staying
+//! bit-identical to the reference nested-loop build:
 //!
 //! * **Dense kernel** — exit sets are flat `u64` rows of a fixed width
 //!   (`words` per machine) living in one contiguous per-composition arena
@@ -51,20 +51,15 @@
 //! * **Projected memoization** — a composition reads a child behaviour
 //!   only at the symbol's `Down`-rule targets, so the memo key is the
 //!   *projection* of each child behaviour onto those targets
-//!   ([`Projection`], interned main-thread-only). Distinct behaviour pairs
-//!   that agree on the targets — or any pair under a symbol with no `Down`
-//!   rules on a side — collapse to one fixpoint run;
-//!   [`WalkStats::memo_hits`] counts the collapses. Frontier jobs are
-//!   deduped per round on the same key.
-//! * **Work-stealing frontier** — each generation of unmemoized
-//!   compositions is split into contiguous chunks ([`resolve_chunk`])
-//!   dealt round-robin onto per-worker deques; idle workers steal the back
-//!   half of a victim's deque, so stragglers cannot serialize the round.
-//!   Workers only evaluate pure compositions against frozen arenas; the
-//!   results are then interned sequentially in canonical (job-list) order
-//!   and the reference discovery loop is replayed verbatim, so state
-//!   numbering — and therefore every downstream artifact — is identical at
-//!   any thread count and any chunk size.
+//!   ([`Projection`]). Distinct behaviour pairs that agree on the targets
+//!   — or any pair under a symbol with no `Down` rules on a side —
+//!   collapse to one fixpoint run; [`WalkStats::memo_hits`] counts the
+//!   collapses. Frontier jobs are deduped per round on the same key.
+//! * **Canonical replay** — each generation of unmemoized compositions is
+//!   evaluated as one batch, its results interned in job-list order, and
+//!   the reference discovery loop replayed verbatim against the memo, so
+//!   state numbering — and therefore every downstream artifact — matches
+//!   the reference build.
 //! * **Incremental discovery** — the frontier scan keeps a `scanned`
 //!   cursor over the triple arena: a round enumerates only pairs
 //!   involving triples interned since the previous round (older pairs
@@ -72,15 +67,15 @@
 //!   appeared), and the replay keeps persistent per-row column cursors
 //!   instead of restarting from zero. Each ordered pair is therefore
 //!   visited O(1) times across the whole run — `O(m²·B)` total instead of
-//!   `O(rounds·m²·B)` — which is what keeps the sequential bookkeeping a
-//!   fraction of the parallelizable job work on saturated frontiers. Both
-//!   cursors are pure functions of the interned-triple sequence, so the
-//!   canonical order (and the DBTA) stays thread-invariant.
+//!   `O(rounds·m²·B)` — which is what keeps the bookkeeping a fraction of
+//!   the composition work on saturated frontiers. Both cursors are pure
+//!   functions of the interned-triple sequence, so the canonical order
+//!   (and the DBTA) is deterministic.
+//!
+//! The solver is sequential: DESIGN.md ("Why one sequential solver")
+//! records the measurements that retired the work-stealing frontier.
 
 use crate::error::TypecheckError;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use xmltc_automata::state::StateSet;
 use xmltc_automata::{Dbta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
@@ -251,7 +246,7 @@ impl Projection {
     }
 }
 
-/// Content-addressed projection store (main-thread only).
+/// Content-addressed projection store.
 #[derive(Default)]
 struct ProjArena {
     index: FxHashMap<Projection, ProjId>,
@@ -271,8 +266,8 @@ impl ProjArena {
 }
 
 /// Computes and caches behaviour → projection ids per `(table, side)`.
-/// Lives on the main thread; projection ids are assigned in canonical
-/// frontier-scan order, hence deterministic.
+/// Projection ids are assigned in canonical frontier-scan order, hence
+/// deterministic.
 struct Projector {
     arena: ProjArena,
     /// `cache[table][side][behavior]` = interned projection id, or
@@ -522,10 +517,8 @@ struct FixCtx<'a> {
 struct JobStats {
     steps: u64,
     peak: u64,
-    par_batches: u64,
     rows: u64,
     row_peak: u64,
-    chunks: u64,
 }
 
 /// Reusable buffers of the solver inner loop: flat candidate rows, a row
@@ -540,7 +533,7 @@ struct Scratch {
     tmp: Vec<RowRef>,
 }
 
-/// Per-worker reusable solver state: the composition-local row arena, the
+/// Reusable solver state: the composition-local row arena, the
 /// two behaviour list buffers, the worklist with its membership flags, the
 /// candidate scratch, and the down-dependency edge buffer. Compositions
 /// run entirely inside one workspace, so after warm-up they allocate only
@@ -942,8 +935,7 @@ impl Walker {
 
     /// One full composition: the root fixpoint (restarted from the symbol
     /// base) plus its left/right up-move extensions. Pure apart from the
-    /// workspace buffers — reads only frozen tables and projections, so it
-    /// is safe to run from worker threads with per-worker workspaces.
+    /// workspace buffers — reads only frozen tables and projections.
     fn compose(
         &self,
         table_idx: u32,
@@ -1040,166 +1032,37 @@ struct Job {
     children: Option<(ProjId, ProjId)>,
 }
 
-/// Evaluates a batch of composition jobs, in parallel when the batch, the
-/// thread budget *and* the parallel threshold allow it. Results come back
-/// in job order, so the (sequential) interning that follows is independent
-/// of scheduling.
-///
-/// The parallel path is a work-stealing chunked scheduler: the job list is
-/// split into contiguous `chunk`-sized ranges dealt round-robin onto
-/// per-worker deques; a worker pops its own deque from the front and, when
-/// empty, steals the back half of the first non-empty victim deque. A
-/// worker quits after one full scan finds every deque empty (in-flight
-/// chunks are owned — and finished — by their current holder, so no work
-/// is lost). Scheduling affects only wall time: results are keyed by job
-/// index and every counter that lands in [`WalkStats`] is a sum or max
-/// over jobs.
-///
-/// The threshold gate exists because a composition job is cheap (≈10 µs on
-/// the flagship instances): below a measured batch size the fixed cost of
-/// spawning a worker crew plus the loss of the sequential run's warm
-/// workspace outweighs the speedup, and `--threads auto` would *lose* to
-/// `--threads 1` (BENCH_typecheck.json schema 4 recorded 147.7 ms parallel
-/// vs 116.5 ms sequential on Q2/mod-3, whose batches peak at 2 448 jobs).
-#[allow(clippy::too_many_arguments)]
+/// Evaluates a batch of composition jobs in job order, so the interning
+/// that follows sees results in canonical order.
 fn compute_batch(
     walker: &Walker,
     jobs: &[Job],
     projs: &[Projection],
-    threads: usize,
-    parallel_threshold: usize,
-    chunk: usize,
     agg: &mut JobStats,
 ) -> Vec<RawTriple> {
     let jour = journal::enabled();
-    let run_one = |job: &Job, ws: &mut Workspace, stats: &mut JobStats| -> RawTriple {
-        if jour {
-            journal::begin("walk.job");
-        }
-        let children = job
-            .children
-            .map(|(l, r)| (&projs[l as usize], &projs[r as usize]));
-        let raw = walker.compose(job.table, children, ws, stats);
-        if jour {
-            journal::end("walk.job");
-        }
-        raw
-    };
-    if threads <= 1 || jobs.len() < parallel_threshold.max(2) {
-        let mut ws = Workspace::new(walker.n_states);
-        return jobs.iter().map(|j| run_one(j, &mut ws, agg)).collect();
-    }
-    agg.par_batches += 1;
-    let workers = threads.min(jobs.len());
-    let csize = chunk.max(1);
-    let n_chunks = jobs.len().div_ceil(csize);
-    agg.chunks += n_chunks as u64;
-    let queues: Vec<Mutex<VecDeque<(u32, u32)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for c in 0..n_chunks {
-        let start = c * csize;
-        let end = (start + csize).min(jobs.len());
-        queues[c % workers]
-            .lock()
-            .expect("deal queue")
-            .push_back((start as u32, end as u32));
-    }
-    let remaining = AtomicUsize::new(jobs.len());
-    let steals = AtomicU64::new(0);
-    let mut out: Vec<Option<RawTriple>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let remaining = &remaining;
-                let steals = &steals;
-                let run_one = &run_one;
-                // Workers carry stable names so successive frontier crews
-                // merge into one per-worker timeline track in trace output.
-                std::thread::Builder::new()
-                    .name(format!("walk-worker-{w}"))
-                    .spawn_scoped(scope, move || {
-                        if jour {
-                            journal::begin("walk.worker");
-                        }
-                        let mut local: Vec<(usize, RawTriple)> = Vec::new();
-                        let mut ws = Workspace::new(walker.n_states);
-                        let mut stats = JobStats::default();
-                        'work: loop {
-                            let range = queues[w].lock().expect("own queue").pop_front();
-                            let (start, end) = match range {
-                                Some(r) => r,
-                                None => {
-                                    // Steal: one scan over the victims; on
-                                    // a hit take the back half of their
-                                    // deque, else quit.
-                                    let mut got = None;
-                                    for off in 1..workers {
-                                        let v = (w + off) % workers;
-                                        let mut vq = queues[v].lock().expect("victim queue");
-                                        let n = vq.len();
-                                        if n == 0 {
-                                            continue;
-                                        }
-                                        let take = n.div_ceil(2);
-                                        let mut tail = vq.split_off(n - take);
-                                        drop(vq);
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        let first = tail.pop_front().expect("nonempty steal");
-                                        if !tail.is_empty() {
-                                            let mut own = queues[w].lock().expect("own queue");
-                                            own.append(&mut tail);
-                                        }
-                                        got = Some(first);
-                                        break;
-                                    }
-                                    match got {
-                                        Some(r) => r,
-                                        None => break 'work,
-                                    }
-                                }
-                            };
-                            let (start, end) = (start as usize, end as usize);
-                            for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
-                                local.push((i, run_one(job, &mut ws, &mut stats)));
-                                let left = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                                if jour {
-                                    journal::counter("walk.jobs_remaining", left as u64);
-                                }
-                            }
-                        }
-                        if jour {
-                            journal::end("walk.worker");
-                        }
-                        (local, stats)
-                    })
-                    .expect("spawn walk worker")
-            })
-            .collect();
-        for h in handles {
-            let (local, stats) = h.join().expect("walk worker panicked");
-            agg.steps += stats.steps;
-            agg.peak = agg.peak.max(stats.peak);
-            agg.rows += stats.rows;
-            agg.row_peak = agg.row_peak.max(stats.row_peak);
-            for (i, raw) in local {
-                out[i] = Some(raw);
+    let mut ws = Workspace::new(walker.n_states);
+    jobs.iter()
+        .map(|job| {
+            if jour {
+                journal::begin("walk.job");
             }
-        }
-    });
-    if jour {
-        journal::counter("walk.steals", steals.load(Ordering::Relaxed));
-    }
-    out.into_iter()
-        .map(|o| o.expect("every job computed"))
+            let children = job
+                .children
+                .map(|(l, r)| (&projs[l as usize], &projs[r as usize]));
+            let raw = walker.compose(job.table, children, &mut ws, agg);
+            if jour {
+                journal::end("walk.job");
+            }
+            raw
+        })
         .collect()
 }
 
 /// Interns a raw composition result: the root behaviour, then the
 /// positional ones (which alias the root when the position admits no
-/// up-moves). Main-thread only, in canonical job order — arena ids are
-/// therefore thread-count independent.
+/// up-moves). Called in canonical job order, so arena ids are
+/// deterministic.
 fn intern_raw(raw: RawTriple, behaviors: &mut BehaviorArena, words: usize) -> TripleIds {
     let root_id = behaviors.intern(raw.root, words);
     let position = |b: Option<FlatBehavior>, behaviors: &mut BehaviorArena| match b {
@@ -1239,21 +1102,11 @@ pub struct WalkOptions {
     /// Budget on behaviour classes (congruence states); `u32::MAX` =
     /// unlimited.
     pub limit: u32,
-    /// Worker threads for the composition frontier; `0` resolves via
-    /// [`resolve_threads`].
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub threads: usize,
-    /// Minimum frontier-batch size (composition jobs) before a worker crew
-    /// is spawned; smaller batches run sequentially even when `threads >
-    /// 1`, so an auto-resolved thread count never loses to `--threads 1`
-    /// on small instances. `0` resolves via [`resolve_parallel_threshold`]
-    /// (the `XMLTC_PAR_THRESHOLD` environment variable, else
-    /// [`PARALLEL_JOB_THRESHOLD`]); `1` forces the parallel path for every
-    /// batch of at least two jobs.
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub parallel_threshold: usize,
-    /// Jobs per work-stealing chunk on the parallel path; `0` resolves via
-    /// [`resolve_chunk`] (the `XMLTC_CHUNK` environment variable, else
-    /// [`WORK_CHUNK`]). Chunk size affects wall time only, never results
-    /// or deterministic counters.
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub chunk: usize,
 }
 
@@ -1269,7 +1122,7 @@ impl Default for WalkOptions {
 }
 
 /// Counters describing one [`walking_to_dbta_with`] run. All fields are
-/// deterministic — independent of the thread count used.
+/// deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkStats {
     /// Transition-table pairs `(symbol, s₁, s₂)` resolved.
@@ -1289,13 +1142,8 @@ pub struct WalkStats {
     pub worklist_peak: u64,
     /// Frontier generations (compute → intern → replay cycles).
     pub rounds: u64,
-    /// Worker threads the frontier was evaluated with.
-    pub threads: u64,
-    /// Frontier batches that actually spawned a worker crew (batches below
-    /// the parallel threshold run sequentially regardless of `threads`).
+    /// ignored: the solver is sequential; kept because perfbench names it
     pub parallel_batches: u64,
-    /// The resolved parallel threshold the run was gated on.
-    pub parallel_threshold: u64,
     /// Distinct exit-set rows (masks) occurring in interned behaviours.
     pub masks_interned: u64,
     /// Distinct behaviours interned.
@@ -1310,10 +1158,6 @@ pub struct WalkStats {
     pub kernel_row_peak: u64,
     /// Distinct behaviour projections interned for memo keys.
     pub projections_interned: u64,
-    /// The resolved work-stealing chunk size (jobs per chunk).
-    pub chunk_size: u64,
-    /// Chunks dealt across all parallel batches.
-    pub chunks: u64,
 }
 
 impl WalkStats {
@@ -1331,94 +1175,19 @@ impl WalkStats {
     }
 }
 
-/// Resolves a requested frontier thread count: an explicit `n > 0` wins,
-/// else the `XMLTC_THREADS` environment variable, else the machine's
-/// available parallelism (1 when unknown).
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Default minimum frontier-batch size for the parallel path, measured on
-/// the flagship Q2/mod-3 instance (see DESIGN.md "Walk-route performance"):
-/// its batches peak at 2 448 jobs and 4-thread evaluation is still ~27%
-/// *slower* than sequential there, while crews pay for themselves once a
-/// batch carries several thousand ≈10 µs jobs. Below this bound the
-/// spawn-and-join overhead plus the cold per-worker workspaces dominate.
-pub const PARALLEL_JOB_THRESHOLD: usize = 4096;
-
-/// Resolves a requested parallel threshold: an explicit `n > 0` wins, else
-/// the `XMLTC_PAR_THRESHOLD` environment variable, else
-/// [`PARALLEL_JOB_THRESHOLD`].
-pub fn resolve_parallel_threshold(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_PAR_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    PARALLEL_JOB_THRESHOLD
-}
-
-/// Default jobs-per-chunk for the work-stealing frontier, measured on the
-/// scaled `walk-scale` family (see DESIGN.md "Walk kernel"): chunks of 16
-/// amortize the deque locking to <1% of a chunk's compute while leaving
-/// hundreds of stealable chunks per round, so the tail imbalance stays
-/// below one chunk per worker. Larger chunks starve the thieves on skewed
-/// rounds; chunk 1 doubles scheduler overhead for no balance gain.
-pub const WORK_CHUNK: usize = 16;
-
-/// Resolves a requested work-stealing chunk size: an explicit `n > 0`
-/// wins, else the `XMLTC_CHUNK` environment variable, else [`WORK_CHUNK`].
-pub fn resolve_chunk(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("XMLTC_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    WORK_CHUNK
-}
-
 /// Converts a 1-pebble (branching tree-walking) automaton into an
 /// equivalent deterministic bottom-up tree automaton, returning the
 /// construction counters alongside.
 ///
-/// Errors when `k ≠ 1` or the behaviour-class budget is exceeded. The
-/// output is bit-identical for every thread count and chunk size: workers
-/// only evaluate pure compositions, and all interning happens sequentially
-/// in a canonical order.
+/// Errors when `k ≠ 1` or the behaviour-class budget is exceeded. All
+/// interning happens in a canonical order, so the output is a pure
+/// function of the automaton and the budget.
 pub fn walking_to_dbta_with(
     a: &PebbleAutomaton,
     opts: &WalkOptions,
 ) -> Result<(Dbta, WalkStats), TypecheckError> {
     let mut job_stats = JobStats::default();
     let walker = Walker::new(a, &mut job_stats)?;
-    let threads = resolve_threads(opts.threads);
-    let parallel_threshold = resolve_parallel_threshold(opts.parallel_threshold);
-    let chunk = resolve_chunk(opts.chunk);
     let limit = opts.limit;
     let alphabet = a.input_alphabet();
     let words = walker.words;
@@ -1441,15 +1210,7 @@ pub fn walking_to_dbta_with(
             children: None,
         })
         .collect();
-    let raws = compute_batch(
-        &walker,
-        &leaf_jobs,
-        &projector.arena.projs,
-        threads,
-        parallel_threshold,
-        chunk,
-        &mut job_stats,
-    );
+    let raws = compute_batch(&walker, &leaf_jobs, &projector.arena.projs, &mut job_stats);
     for (&sym, raw) in leaf_syms.iter().zip(raws) {
         let ids = intern_raw(raw, &mut behaviors, words);
         let q = intern_triple(ids, &mut triples, &mut index, limit)?;
@@ -1473,9 +1234,9 @@ pub fn walking_to_dbta_with(
         // already has its key in `memo` (enumerated in a previous round),
         // so only the new rows and columns can need jobs. Enumeration
         // order (new-triple-major, `(t, 0..=t)` then `(0..t, t)`, symbols
-        // innermost) is a pure function of the interned-triple sequence,
-        // hence thread-invariant; jobs are deduped on the projected key so
-        // identical jobs solve once per round.
+        // innermost) is a pure function of the interned-triple sequence;
+        // jobs are deduped on the projected key so identical jobs solve
+        // once per round.
         let mut jobs: Vec<Job> = Vec::new();
         let mut seen: FxHashSet<(u32, ProjId, ProjId)> = FxHashSet::default();
         let len = triples.len();
@@ -1507,15 +1268,7 @@ pub fn walking_to_dbta_with(
             journal::counter("walk.frontier_jobs", jobs.len() as u64);
         }
         if !jobs.is_empty() {
-            let raws = compute_batch(
-                &walker,
-                &jobs,
-                &projector.arena.projs,
-                threads,
-                parallel_threshold,
-                chunk,
-                &mut job_stats,
-            );
+            let raws = compute_batch(&walker, &jobs, &projector.arena.projs, &mut job_stats);
             for (job, raw) in jobs.iter().zip(raws) {
                 let (l, r) = job.children.expect("binary job");
                 let ids = intern_raw(raw, &mut behaviors, words);
@@ -1528,7 +1281,7 @@ pub fn walking_to_dbta_with(
         // advancing its persistent column cursor, repeated in passes until
         // every row has caught up with the (growing) table. The order is a
         // pure function of the interned-triple sequence, so the DBTA
-        // numbering is identical at every thread count. Aborts (for
+        // numbering is deterministic. Aborts (for
         // another frontier round) at the first composition not yet
         // memoized — necessarily one involving a triple first discovered
         // during this very replay; the cursors make the retry resume where
@@ -1605,9 +1358,6 @@ pub fn walking_to_dbta_with(
         fixpoint_steps: job_stats.steps,
         worklist_peak: job_stats.peak,
         rounds,
-        threads: threads as u64,
-        parallel_batches: job_stats.par_batches,
-        parallel_threshold: parallel_threshold as u64,
         masks_interned: behaviors.rows_seen.len() as u64,
         behaviors_interned: behaviors.behaviors.len() as u64,
         dbta_states: triples.len() as u64,
@@ -1615,8 +1365,7 @@ pub fn walking_to_dbta_with(
         kernel_rows: job_stats.rows,
         kernel_row_peak: job_stats.row_peak,
         projections_interned: projector.arena.projs.len() as u64,
-        chunk_size: chunk as u64,
-        chunks: job_stats.chunks,
+        ..WalkStats::default()
     };
     let d = Dbta::from_parts(alphabet, triples.len() as u32, leaf, node, finals);
     Ok((d, stats))
@@ -1670,7 +1419,7 @@ mod tests {
 
     fn agree(a: &PebbleAutomaton) {
         let al = a.input_alphabet().clone();
-        let d = walking_to_dbta(a).unwrap();
+        let (d, s) = walking_to_dbta_with(a, &WalkOptions::default()).unwrap();
         for src in TREES {
             let t = BinaryTree::parse(src, &al).unwrap();
             assert_eq!(
@@ -1679,48 +1428,10 @@ mod tests {
                 "disagreement on {src}"
             );
         }
-        // The construction must be invariant under the thread count and
-        // chunk size: same states, transitions, finals, and counters.
-        let opts1 = WalkOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        // threshold 1 forces the worker-crew path even on these tiny
-        // batches, so the parallel machinery stays under test; chunk 1
-        // maximizes stealing opportunities.
-        let opts4 = WalkOptions {
-            threads: 4,
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let opts8 = WalkOptions {
-            threads: 8,
-            parallel_threshold: 1,
-            chunk: 1,
-            ..Default::default()
-        };
-        let (d1, s1) = walking_to_dbta_with(a, &opts1).unwrap();
-        let (d4, s4) = walking_to_dbta_with(a, &opts4).unwrap();
-        let (d8, s8) = walking_to_dbta_with(a, &opts8).unwrap();
-        assert_eq!(d1, d4, "thread count changed the DBTA");
-        assert_eq!(d1, d8, "chunk size changed the DBTA");
-        assert_eq!(d1, d, "explicit thread count changed the DBTA");
-        for s in [&s4, &s8] {
-            assert_eq!(
-                (s1.pairs, s1.compositions, s1.memo_hits, s1.dbta_states),
-                (s.pairs, s.compositions, s.memo_hits, s.dbta_states),
-                "scheduling changed the counters"
-            );
-            assert_eq!(s1.memo_misses, s.memo_misses);
-            assert_eq!(s1.kernel_rows, s.kernel_rows);
-            assert_eq!(s1.kernel_row_peak, s.kernel_row_peak);
-            assert_eq!(s1.fixpoint_steps, s.fixpoint_steps);
-            assert_eq!(s1.projections_interned, s.projections_interned);
-        }
         // Accounting invariants: every request is a hit or a miss, and
         // there is one request per leaf symbol plus one per pair.
-        assert_eq!(s1.memo_hits + s1.memo_misses, s1.compositions);
-        assert_eq!(s1.compositions, s1.pairs + 2 /* leaves */);
+        assert_eq!(s.memo_hits + s.memo_misses, s.compositions);
+        assert_eq!(s.compositions, s.pairs + 2 /* leaves */);
     }
 
     #[test]
@@ -1915,14 +1626,7 @@ mod tests {
             .unwrap();
         b.branch0(SymSpec::One(x), q, Guard::any()).unwrap();
         let a = b.build().unwrap();
-        let (_, s) = walking_to_dbta_with(
-            &a,
-            &WalkOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, s) = walking_to_dbta_with(&a, &WalkOptions::default()).unwrap();
         assert!(s.memo_hits > 0, "projection must collapse right children");
         assert_eq!(s.memo_hits + s.memo_misses, s.compositions);
         assert!(s.projections_interned > 0);
@@ -2051,41 +1755,5 @@ mod tests {
             walking_to_dbta(&a),
             Err(TypecheckError::NeedsOnePebble { k: 2 })
         ));
-    }
-
-    /// The class budget aborts at the same canonical point regardless of
-    /// thread count or chunk size.
-    #[test]
-    fn limit_abort_is_thread_invariant() {
-        let al = alpha();
-        let y = al.get("y").unwrap();
-        let mut b = AutomatonBuilder::new(&al, 1);
-        let q = b.state("search", 1).unwrap();
-        b.set_initial(q);
-        b.branch0(SymSpec::One(y), q, Guard::any()).unwrap();
-        b.move_rule(SymSpec::Binaries, q, Guard::any(), Move::DownLeft, q)
-            .unwrap();
-        b.move_rule(SymSpec::Binaries, q, Guard::any(), Move::DownRight, q)
-            .unwrap();
-        let a = b.build().unwrap();
-        let full = walking_to_dbta(&a).unwrap();
-        assert!(full.n_states() >= 2);
-        for limit in 0..full.n_states() {
-            let mut aborts = Vec::new();
-            for threads in [1usize, 4] {
-                let opts = WalkOptions {
-                    limit,
-                    threads,
-                    parallel_threshold: 1,
-                    chunk: 1,
-                };
-                match walking_to_dbta_with(&a, &opts) {
-                    Err(TypecheckError::TooManyStates { n }) => aborts.push(n),
-                    other => panic!("limit {limit}: expected budget abort, got {other:?}"),
-                }
-            }
-            assert_eq!(aborts[0], aborts[1], "limit {limit}");
-            assert_eq!(aborts[0], limit + 1, "abort reports the breached budget");
-        }
     }
 }

@@ -6,23 +6,19 @@
 //!                   [--trace-out F]
 //! xmltc typecheck   <input.dtd> <sheet.xsl> <output.dtd> [--stats|--json]
 //!                   [--trace-out F] [--explain-out F] [--route auto|walk|mso]
-//!                   [--engine auto|lazy|eager] [--state-limit N] [--threads N]
-//!                   [--chunk N]
+//!                   [--engine auto|lazy|eager] [--state-limit N]
 //! xmltc explain     <input.dtd> <sheet.xsl> <output.dtd> [--json]
 //!                   [--explain-out F] [--route ..] [--engine ..] [...]
 //! xmltc forward     <input.dtd> <sheet.xsl> <output.dtd>
 //! xmltc bench-diff  <baseline.json> <candidate.json> [--threshold p=pct]
 //!                   [--advisory] [--json]
-//! xmltc bench       --family <name> [--threads 1,2,4] [--reps N] [--quick]
-//!                   [--json]
-//! xmltc bench       --list
 //! xmltc corpus      <family> <index> [--seed S] [--minimize] [--state-limit N]
 //! xmltc corpus      --list
 //! xmltc serve       [--addr H:P] [--cache-bytes N] [--oneshot]
 //!                   [--trace-out F] [--json]
 //! xmltc client      <addr> <validate|transform|typecheck|stats|shutdown>
 //!                   <files...> [--route ..] [--engine ..] [--state-limit N]
-//!                   [--threads N] [--explain] [--id N] [--json]
+//!                   [--explain] [--id N] [--json]
 //! ```
 //!
 //! File formats:
@@ -156,22 +152,6 @@ fn parse_flags(rest: &[String], allowed: FlagLevel) -> Result<(Vec<&str>, Typech
                     .parse()
                     .map_err(|_| format!("invalid state limit `{v}`"))?;
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads requires a number")?;
-                flags.opts.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or(format!("invalid thread count `{v}`"))?;
-            }
-            "--chunk" => {
-                let v = it.next().ok_or("--chunk requires a number")?;
-                flags.opts.chunk = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or(format!("invalid chunk size `{v}`"))?;
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -179,8 +159,7 @@ fn parse_flags(rest: &[String], allowed: FlagLevel) -> Result<(Vec<&str>, Typech
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let usage =
-        "usage: xmltc <validate|transform|typecheck|forward|bench|bench-diff|serve|client> \
+    let usage = "usage: xmltc <validate|transform|typecheck|forward|bench-diff|serve|client> \
          <files...> (see --help)";
     let cmd = args.first().ok_or(usage)?;
     match cmd.as_str() {
@@ -353,7 +332,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "bench-diff" => bench_diff(&args[1..]),
-        "bench" => bench(&args[1..]),
         "corpus" => corpus(&args[1..]),
         "serve" => serve(&args[1..]),
         "client" => client(&args[1..]),
@@ -437,132 +415,6 @@ fn report_and_exit<T>(
     println!();
     print!("{}", report.render_table());
     Ok(code)
-}
-
-/// `xmltc bench --family <name>`: build one seeded instance family and
-/// time the Theorem 4.7 walk construction at each requested thread count
-/// — the same curves the typecheck bench dumps as `walk_scaling`, without
-/// the rest of the bench. `--list` prints the family names. Quick mode
-/// (`--quick` or `XMLTC_BENCH_QUICK=1`) keeps only the smallest instance
-/// and one rep.
-fn bench(rest: &[String]) -> Result<ExitCode, String> {
-    use xmltc::bench::scaled;
-    use xmltc::obs::Json;
-    const FAMILIES: [&str; 1] = ["walk-scale"];
-    let mut family: Option<String> = None;
-    let mut quick = std::env::var("XMLTC_BENCH_QUICK").is_ok();
-    let mut json = false;
-    let mut threads: Vec<usize> = Vec::new();
-    let mut reps: Option<usize> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--list" => {
-                for f in FAMILIES {
-                    println!("{f}");
-                }
-                return Ok(ExitCode::SUCCESS);
-            }
-            "--family" => {
-                let v = it.next().ok_or("--family requires a name (see --list)")?;
-                family = Some(v.clone());
-            }
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or("--threads requires a comma list, e.g. 1,2,4")?;
-                threads = v
-                    .split(',')
-                    .map(|t| {
-                        t.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("invalid thread count `{t}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--reps" => {
-                let v = it.next().ok_or("--reps requires a number")?;
-                reps = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .ok_or(format!("invalid rep count `{v}`"))?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}` for bench")),
-        }
-    }
-    let family = family.ok_or(
-        "usage: xmltc bench --family <name> [--threads 1,2,4] [--reps N] [--quick] [--json] \
-         (xmltc bench --list for family names)",
-    )?;
-    if family != "walk-scale" {
-        return Err(format!(
-            "unknown bench family `{family}` (one of: {})",
-            FAMILIES.join(", ")
-        ));
-    }
-    if threads.is_empty() {
-        threads = if quick { vec![1, 4] } else { vec![1, 2, 4, 8] };
-    }
-    let reps = reps.unwrap_or(if quick { 1 } else { 2 });
-    let mut rows = Vec::new();
-    for spec in scaled::walk_scale_specs(quick) {
-        let a = scaled::build(&spec);
-        let (points, dbta) = scaled::scale_curve(&a, &threads, reps);
-        if !json {
-            let curve: Vec<String> = points
-                .iter()
-                .map(|p| format!("{}T {:.1}ms", p.threads, p.wall_ms))
-                .collect();
-            println!(
-                "{:<8} states={:<5} dbta={:<5} jobs={:<6} {}",
-                spec.name,
-                spec.states,
-                dbta,
-                points[0].stats.memo_misses,
-                curve.join("  ")
-            );
-        }
-        let seq_ms = points[0].wall_ms;
-        rows.push(Json::obj(vec![
-            ("name", Json::Str(spec.name.into())),
-            ("states", Json::U64(spec.states as u64)),
-            ("dbta_states", Json::U64(dbta)),
-            ("jobs", Json::U64(points[0].stats.memo_misses)),
-            (
-                "curve",
-                Json::Array(
-                    points
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("threads", Json::U64(p.threads as u64)),
-                                ("wall_ms", Json::F64(p.wall_ms)),
-                                ("speedup", Json::F64(seq_ms / p.wall_ms.max(1e-9))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-    if json {
-        let host_cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let out = Json::obj(vec![
-            ("schema", Json::Str("xmltc.bench-family/1".into())),
-            ("family", Json::Str(family)),
-            ("host_cores", Json::U64(host_cores as u64)),
-            ("instances", Json::Array(rows)),
-        ]);
-        println!("{}", out.encode());
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `xmltc bench-diff <baseline.json> <candidate.json>`: compares two
@@ -868,13 +720,6 @@ fn client(rest: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("invalid state limit `{v}`"))?;
                 options.push(("state_limit", Json::U64(n)));
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads requires a number")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid thread count `{v}`"))?;
-                options.push(("threads", Json::U64(n)));
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}` for client"));
             }
@@ -1057,9 +902,6 @@ commands:
   explain   <input.dtd> <sheet.xsl> <output.dtd> typecheck + provenance report
   forward   <input.dtd> <sheet.xsl> <output.dtd> forward-inference baseline
   bench-diff <baseline.json> <candidate.json>    compare benchmark dumps
-  bench     --family <name>                      time one seeded instance
-                                                 family across thread counts
-                                                 (--list for family names)
   corpus    <family> <index>                     regenerate one adversarial
                                                  corpus case and run both
                                                  engines on it (--list for
@@ -1087,12 +929,6 @@ typecheck / explain options:
   --engine E         emptiness engine: auto (default) | lazy | eager
                      (auto = lazy on the walk route, eager on mso)
   --state-limit N    budget for intermediate automata (default 4000000)
-  --threads N        walk-route worker threads (default: XMLTC_THREADS if
-                     set, else available parallelism; verdict and automata
-                     are identical for every N)
-  --chunk N          jobs per work-stealing chunk of the walk frontier
-                     (default: XMLTC_CHUNK if set, else the measured
-                     default; like --threads, cannot change any result)
 
 corpus options:
   --seed S           corpus seed (decimal or 0x-hex; default 0xc0de) — the
@@ -1124,17 +960,6 @@ plus --explain for the provenance report and --id N to tag the request;
   xmltc client ADDR stats
   xmltc client ADDR shutdown
 
-bench options:
-  --family NAME      the instance family to run (required; --list to name
-                     them). walk-scale: seeded walking automata whose
-                     Theorem 4.7 frontier saturates — the scaling-curve
-                     workload of BENCH_typecheck.json's walk_scaling
-  --threads LIST     comma-separated thread counts (default 1,2,4,8;
-                     quick: 1,4)
-  --reps N           best-of-N timing per point (default 2; quick: 1)
-  --quick            smallest instance only (XMLTC_BENCH_QUICK=1 implies)
-  --json             emit the curves as JSON (schema xmltc.bench-family/1)
-
 bench-diff options:
   --threshold P=PCT  override the watch threshold of metric path P to PCT
                      percent (repeatable; unknown paths become new
@@ -1145,8 +970,6 @@ bench-diff options:
 environment:
   XMLTC_LOG=1        log phase enter/exit to stderr (level + timestamp)
   XMLTC_LOG_FORMAT=json  emit those log lines as JSON objects
-  XMLTC_THREADS=N    default walk-route worker threads
-  XMLTC_CHUNK=N      default walk-route work-stealing chunk size
 
 formats:
   .dtd   one rule per line:  a := b*.c.e     (first rule = root; // comments)

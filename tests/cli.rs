@@ -387,6 +387,21 @@ fn typecheck_json_emits_full_report() {
     assert!(json_u64(&s, "pebble.states").unwrap() > 0);
     assert!(json_u64(&s, "violation.states").unwrap() > 0);
     assert!(json_u64(&s, "walk.dbta_states").unwrap() > 0);
+    assert!(json_u64(&s, "walk.pairs").unwrap() > 0);
+    assert!(json_u64(&s, "walk.compositions").unwrap() > 0);
+    assert!(json_u64(&s, "walk.memo_hits").is_some());
+    assert!(json_u64(&s, "walk.fixpoint_steps").unwrap() > 0);
+    assert!(json_u64(&s, "product.pairs_pruned").is_some());
+    // The walk solver is sequential: no scheduler metrics.
+    for gone in [
+        "walk.threads",
+        "walk.parallel_threshold",
+        "walk.parallel_batches",
+        "walk.kernel.chunk_size",
+        "walk.kernel.chunks",
+    ] {
+        assert_eq!(json_u64(&s, gone), None, "{gone}");
+    }
     assert_eq!(json_u64(&s, "verdict.ok"), Some(1));
     // The walk route defaults to the lazy engine, whose search metrics
     // replace the eager product sizes.
@@ -543,6 +558,21 @@ fn unknown_flag_is_usage_error() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown flag"));
+    // The retired walk-scheduler knobs are unknown flags too.
+    for knob in [["--threads", "4"], ["--chunk", "2"]] {
+        let out = run(&[
+            &[
+                "typecheck",
+                &fixture("even_a.dtd"),
+                &fixture("relabel.xsl"),
+                &fixture("even_b.dtd"),
+            ][..],
+            &knob[..],
+        ]
+        .concat());
+        assert_eq!(out.status.code(), Some(2), "{knob:?}");
+        assert!(stderr(&out).contains("unknown flag"), "{knob:?}");
+    }
 
     // Pipeline flags are rejected on the reporting-only commands...
     let out = run(&[
@@ -693,186 +723,6 @@ fn xmltc_log_format_json_emits_json_lines() {
 }
 
 #[test]
-fn typecheck_threads_flag_is_output_invariant() {
-    // Verdict and every byte of output must be identical at any thread
-    // count, on both passing and failing instances.
-    for (out_dtd, code) in [("even_b.dtd", 0), ("universal_out.dtd", 0)] {
-        let base = [
-            "typecheck",
-            &fixture("even_a.dtd"),
-            &fixture("relabel.xsl"),
-            &fixture(out_dtd),
-        ];
-        let one: Vec<&str> = base.iter().copied().chain(["--threads", "1"]).collect();
-        let four: Vec<&str> = base.iter().copied().chain(["--threads", "4"]).collect();
-        let o1 = run(&one);
-        let o4 = run(&four);
-        assert_eq!(o1.status.code(), Some(code), "{}", stderr(&o1));
-        assert_eq!(o4.status.code(), Some(code), "{}", stderr(&o4));
-        assert_eq!(stdout(&o1), stdout(&o4), "--threads changed the output");
-    }
-    let fail = [
-        "typecheck",
-        &fixture("any_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-    ];
-    let one: Vec<&str> = fail.iter().copied().chain(["--threads", "1"]).collect();
-    let four: Vec<&str> = fail.iter().copied().chain(["--threads", "4"]).collect();
-    let o1 = run(&one);
-    let o4 = run(&four);
-    assert_eq!(o1.status.code(), Some(1));
-    assert_eq!(o4.status.code(), Some(1));
-    assert_eq!(
-        stdout(&o1),
-        stdout(&o4),
-        "--threads changed the counterexample"
-    );
-}
-
-#[test]
-fn typecheck_json_reports_thread_count() {
-    let out = run(&[
-        "typecheck",
-        &fixture("even_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-        "--json",
-        "--threads",
-        "2",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let s = stdout(&out);
-    assert_eq!(json_u64(&s, "walk.threads"), Some(2));
-    assert!(json_u64(&s, "walk.pairs").unwrap() > 0);
-    assert!(json_u64(&s, "walk.compositions").unwrap() > 0);
-    assert!(json_u64(&s, "walk.memo_hits").is_some());
-    assert!(json_u64(&s, "walk.fixpoint_steps").unwrap() > 0);
-    assert!(json_u64(&s, "product.pairs_pruned").is_some());
-}
-
-#[test]
-fn xmltc_threads_env_sets_default_and_flag_wins() {
-    let args = [
-        "typecheck",
-        &fixture("even_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-        "--json",
-    ];
-    let out = bin()
-        .args(args)
-        .env("XMLTC_THREADS", "3")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(json_u64(&stdout(&out), "walk.threads"), Some(3));
-
-    let with_flag: Vec<&str> = args.iter().copied().chain(["--threads", "1"]).collect();
-    let out = bin()
-        .args(&with_flag)
-        .env("XMLTC_THREADS", "3")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(json_u64(&stdout(&out), "walk.threads"), Some(1));
-}
-
-#[test]
-fn typecheck_rejects_invalid_thread_count() {
-    for bad in ["0", "-1", "many"] {
-        let out = run(&[
-            "typecheck",
-            &fixture("even_a.dtd"),
-            &fixture("relabel.xsl"),
-            &fixture("even_b.dtd"),
-            "--threads",
-            bad,
-        ]);
-        assert_eq!(out.status.code(), Some(2), "--threads {bad}");
-        assert!(
-            stderr(&out).contains("invalid thread count"),
-            "--threads {bad}: {}",
-            stderr(&out)
-        );
-    }
-}
-
-#[test]
-fn typecheck_chunk_flag_is_output_invariant_and_reported() {
-    let base = [
-        "typecheck",
-        &fixture("even_a.dtd"),
-        &fixture("relabel.xsl"),
-        &fixture("even_b.dtd"),
-    ];
-    let plain = run(&base);
-    let chunked: Vec<&str> = base.iter().copied().chain(["--chunk", "2"]).collect();
-    let out = run(&chunked);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(stdout(&plain), stdout(&out), "--chunk changed the output");
-    let json: Vec<&str> = chunked.iter().copied().chain(["--json"]).collect();
-    let out = run(&json);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(json_u64(&stdout(&out), "walk.kernel.chunk_size"), Some(2));
-    for bad in ["0", "huge"] {
-        let out = run(&[&base[..], &["--chunk", bad]].concat());
-        assert_eq!(out.status.code(), Some(2), "--chunk {bad}");
-        assert!(stderr(&out).contains("invalid chunk size"));
-    }
-}
-
-#[test]
-fn bench_list_and_usage_errors() {
-    let out = run(&["bench", "--list"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(stdout(&out).trim(), "walk-scale");
-    let out = run(&["bench"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--family"), "{}", stderr(&out));
-    let out = run(&["bench", "--family", "nope"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown bench family"));
-    let out = run(&["bench", "--family", "walk-scale", "--threads", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("invalid thread count"));
-}
-
-#[test]
-fn bench_family_quick_emits_curves() {
-    // Quick mode keeps only the smallest instance; one thread count and
-    // one rep keep the debug-build run affordable.
-    let out = run(&[
-        "bench",
-        "--family",
-        "walk-scale",
-        "--quick",
-        "--threads",
-        "1",
-        "--reps",
-        "1",
-        "--json",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let s = stdout(&out);
-    assert!(
-        s.contains("xmltc.bench-family/1"),
-        "schema tag missing: {s}"
-    );
-    assert!(s.contains("ws-128"), "quick roster instance missing: {s}");
-    // `bench --json` emits the compact encoding (no space after the
-    // colon), unlike the pipeline reports `json_u64` targets.
-    let jobs: Option<u64> = s.split("\"jobs\":").nth(1).and_then(|rest| {
-        let end = rest.find(|c: char| !c.is_ascii_digit())?;
-        rest[..end].parse().ok()
-    });
-    assert!(
-        jobs.is_some_and(|j| j > 1_000),
-        "scaled frontier must stay saturated: {s}"
-    );
-}
-
-#[test]
 fn validate_stats_and_json_report_phases() {
     let base = ["validate", &fixture("even_a.dtd"), &fixture("doc.xml")];
     let out = run(&base.iter().copied().chain(["--stats"]).collect::<Vec<_>>());
@@ -934,9 +784,9 @@ fn transform_stats_and_json_report_phases() {
     assert!(!s.contains("<result>"), "JSON replaces the document:\n{s}");
 }
 
-/// The headline acceptance check: tracing a parallel typecheck of the
-/// Example 4.3 (Q2) pipeline yields a valid Chrome trace with one track
-/// per worker and counter tracks for the hot-loop gauges.
+/// The headline acceptance check: tracing a typecheck of the Example 4.3
+/// (Q2) pipeline yields a valid Chrome trace with the main track, one span
+/// per walk composition and counter tracks for the hot-loop gauges.
 #[test]
 fn typecheck_trace_out_writes_chrome_trace() {
     use xmltc::obs::Json;
@@ -944,25 +794,16 @@ fn typecheck_trace_out_writes_chrome_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("q2_trace.json");
     let trace_path = trace.to_str().unwrap().to_string();
-    // Q2's frontier batches sit below the job-count gate, so worker crews
-    // would not spawn at the default threshold; force the parallel path —
-    // the per-worker tracks are exactly what this test pins.
-    let out = bin()
-        .args([
-            "typecheck",
-            &fixture("q2.dtd"),
-            &fixture("q2.xsl"),
-            &fixture("q2_mod3_out.dtd"),
-            "--route",
-            "walk",
-            "--threads",
-            "4",
-            "--trace-out",
-            &trace_path,
-        ])
-        .env("XMLTC_PAR_THRESHOLD", "1")
-        .output()
-        .expect("binary runs");
+    let out = run(&[
+        "typecheck",
+        &fixture("q2.dtd"),
+        &fixture("q2.xsl"),
+        &fixture("q2_mod3_out.dtd"),
+        "--route",
+        "walk",
+        "--trace-out",
+        &trace_path,
+    ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     // The verdict on stdout is untouched; the trace note goes to stderr.
     assert_eq!(
@@ -988,21 +829,16 @@ fn typecheck_trace_out_writes_chrome_trace() {
             .iter()
             .filter(move |e| e.at("ph").and_then(Json::as_str) == Some(ph))
     };
-    // One merged display track per worker name, plus the main thread.
+    // The solver runs on the main thread: one display track.
     let tracks: Vec<&str> = with_ph("M")
         .filter_map(|e| e.at("args.name").and_then(Json::as_str))
         .collect();
-    assert!(tracks.contains(&"main"), "{tracks:?}");
-    for w in 0..4 {
-        let name = format!("walk-worker-{w}");
-        assert!(tracks.contains(&name.as_str()), "{tracks:?}");
-    }
+    assert_eq!(tracks, ["main"]);
     // Counter tracks for the hot-loop gauges, each sample carrying a value.
     let counters: Vec<&str> = with_ph("C")
         .filter_map(|e| e.at("name").and_then(Json::as_str))
         .collect();
     for gauge in [
-        "walk.jobs_remaining",
         "walk.frontier_jobs",
         "walk.memo_hits",
         "walk.memo_misses",
@@ -1011,10 +847,10 @@ fn typecheck_trace_out_writes_chrome_trace() {
         assert!(counters.contains(&gauge), "missing counter `{gauge}`");
     }
     assert!(with_ph("C").all(|e| e.at("args.value").and_then(Json::as_u64).is_some()));
-    // Worker spans open and close in matched pairs.
+    // Composition spans open and close in matched pairs.
     let span_count = |ph: &'static str| {
         with_ph(ph)
-            .filter(|e| e.at("name").and_then(Json::as_str) == Some("walk.worker"))
+            .filter(|e| e.at("name").and_then(Json::as_str) == Some("walk.job"))
             .count()
     };
     assert!(span_count("B") > 0);
