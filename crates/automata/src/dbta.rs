@@ -163,7 +163,7 @@ impl Dbta {
 
     /// Views the automaton as a nondeterministic one.
     pub fn to_nta(&self) -> Nta {
-        let mut out = Nta::new(&self.alphabet, self.n_states);
+        let mut out = Nta::with_capacity(&self.alphabet, self.n_states, self.node.len());
         for (&a, &q) in &self.leaf {
             out.add_leaf(a, q);
         }

@@ -36,11 +36,18 @@ pub struct Nta {
 impl Nta {
     /// Creates an automaton with `n_states` states and no transitions.
     pub fn new(alphabet: &Arc<Alphabet>, n_states: u32) -> Nta {
+        Nta::with_capacity(alphabet, n_states, 0)
+    }
+
+    /// Like [`Nta::new`], with room for `nodes` internal-transition keys
+    /// reserved up front, so a conversion that knows its table size fills
+    /// it without rehashing.
+    pub(crate) fn with_capacity(alphabet: &Arc<Alphabet>, n_states: u32, nodes: usize) -> Nta {
         Nta {
             alphabet: Arc::clone(alphabet),
             n_states,
             leaf: FxHashMap::default(),
-            node: FxHashMap::default(),
+            node: FxHashMap::with_capacity_and_hasher(nodes, Default::default()),
             finals: StateSet::new(),
         }
     }
@@ -375,10 +382,11 @@ impl Nta {
     /// Removes states that are unreachable (label no tree) or useless
     /// (cannot contribute to acceptance), renumbering the rest.
     pub fn trim(&self) -> Nta {
-        let reachable = self.reachable_states();
+        let n = self.n_states as usize;
+        let reachable: Vec<bool> = self.reachability().iter().map(Option::is_some).collect();
         // Co-reachable: final states, plus sources of transitions whose
         // target is co-reachable and whose sibling is reachable.
-        let mut co: Vec<bool> = vec![false; self.n_states as usize];
+        let mut co: Vec<bool> = vec![false; n];
         for q in self.finals.iter() {
             co[q.index()] = true;
         }
@@ -387,39 +395,41 @@ impl Nta {
             changed = false;
             for (&(_, q1, q2), qs) in &self.node {
                 if qs.iter().any(|q| co[q.index()]) {
-                    if reachable.contains(q2) && !co[q1.index()] {
+                    if reachable[q2.index()] && !co[q1.index()] {
                         co[q1.index()] = true;
                         changed = true;
                     }
-                    if reachable.contains(q1) && !co[q2.index()] {
+                    if reachable[q1.index()] && !co[q2.index()] {
                         co[q2.index()] = true;
                         changed = true;
                     }
                 }
             }
         }
-        let keep: Vec<bool> = (0..self.n_states as usize)
-            .map(|i| reachable.contains(State(i as u32)) && co[i])
-            .collect();
-        let mut remap: Vec<Option<State>> = vec![None; self.n_states as usize];
+        let mut remap: Vec<Option<State>> = vec![None; n];
         let mut next = 0u32;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
+        for i in 0..n {
+            if reachable[i] && co[i] {
                 remap[i] = Some(State(next));
                 next += 1;
             }
         }
-        let mut out = Nta::new(&self.alphabet, next);
+        // The source's key count bounds the kept one. The renumbering is
+        // injective, so each kept key is inserted once, with all its
+        // surviving targets.
+        let mut out = Nta::with_capacity(&self.alphabet, next, self.node.len());
         for (a, q) in self.leaf_transitions() {
             if let Some(nq) = remap[q.index()] {
                 out.add_leaf(a, nq);
             }
         }
-        for (a, q1, q2, q) in self.node_transitions() {
-            if let (Some(n1), Some(n2), Some(nq)) =
-                (remap[q1.index()], remap[q2.index()], remap[q.index()])
-            {
-                out.add_node(a, n1, n2, nq);
+        for (&(a, q1, q2), qs) in &self.node {
+            let (Some(n1), Some(n2)) = (remap[q1.index()], remap[q2.index()]) else {
+                continue;
+            };
+            let targets = StateSet::from_iter_canon(qs.iter().filter_map(|q| remap[q.index()]));
+            if !targets.is_empty() {
+                out.node.insert((a, n1, n2), targets);
             }
         }
         for q in self.finals.iter() {
@@ -627,6 +637,69 @@ mod tests {
         assert_eq!(trimmed.n_states(), 2);
         assert!(trimmed.accepts(&t(&al, "f(x, x)")).unwrap());
         assert!(!trimmed.accepts(&t(&al, "x")).unwrap());
+    }
+
+    /// Node transitions as sorted tuples of raw indices.
+    fn node_rows(a: &Nta) -> Vec<(u32, u32, u32, u32)> {
+        let mut rows: Vec<_> = a
+            .node_transitions()
+            .map(|(s, q1, q2, q)| (s.0, q1.0, q2.0, q.0))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    #[test]
+    fn trim_keeping_every_state_keeps_numbering() {
+        let al = alpha();
+        let b = some_y(&al);
+        let trimmed = b.trim();
+        assert_eq!(trimmed.n_states(), b.n_states());
+        assert_eq!(node_rows(&trimmed), node_rows(&b));
+        assert_eq!(trimmed.finals(), b.finals());
+        for s in al.leaves() {
+            assert_eq!(trimmed.leaf_states(s), b.leaf_states(s));
+        }
+        // A deterministic automaton converts with one target per key.
+        let d = b.determinize();
+        let nta = d.to_nta();
+        assert_eq!(nta.n_transitions(), d.n_transitions());
+        assert_eq!(node_rows(&nta.trim()), node_rows(&nta));
+    }
+
+    #[test]
+    fn trim_drops_unreachable_and_useless_and_renumbers() {
+        let al = alpha();
+        let (x, y, f, g) = syms(&al);
+        // q0: x-leaves; q1: unreachable (no leaf, only feeds itself);
+        // q2: y-leaves, reachable but useless (nothing final above it);
+        // q3: f(q0, q0), final; q4: g over q1 — unreachable.
+        let mut a = Nta::new(&al, 5);
+        a.add_leaf(x, State(0));
+        a.add_leaf(y, State(2));
+        a.add_node(f, State(0), State(0), State(3));
+        a.add_node(f, State(0), State(0), State(2));
+        a.add_node(g, State(2), State(2), State(2));
+        a.add_node(g, State(1), State(0), State(4));
+        a.add_node(g, State(1), State(1), State(1));
+        a.add_node(f, State(3), State(4), State(3));
+        a.add_final(State(3));
+        a.add_final(State(4));
+        let trimmed = a.trim();
+        // Survivors q0, q3 become q0, q1.
+        assert_eq!(trimmed.n_states(), 2);
+        assert_eq!(node_rows(&trimmed), vec![(f.0, 0, 0, 1)]);
+        assert_eq!(trimmed.leaf_states(x), &[State(0)]);
+        assert_eq!(trimmed.leaf_states(y), &[] as &[State]);
+        assert_eq!(trimmed.finals().as_slice(), &[State(1)]);
+        for src in ["x", "y", "f(x, x)", "f(x, y)", "g(x, x)", "f(f(x, x), x)"] {
+            let tree = t(&al, src);
+            assert_eq!(
+                trimmed.accepts(&tree).unwrap(),
+                a.accepts(&tree).unwrap(),
+                "tree {src}"
+            );
+        }
     }
 
     #[test]

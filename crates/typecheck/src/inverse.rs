@@ -69,6 +69,9 @@ pub fn violation_nta(
             obs::record("walk.kernel.rows", ws.kernel_rows);
             obs::record("walk.kernel.row_peak", ws.kernel_row_peak);
             obs::record("walk.kernel.projections", ws.projections_interned);
+            // A child span, so reports show the DBTA → NTA hand-off apart
+            // from the kernel; the walk.* records above stay on route.walk.
+            let _convert = obs::span("route.walk.convert");
             d.to_nta().trim()
         }
         ResolvedRoute::Mso => {

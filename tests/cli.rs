@@ -375,6 +375,7 @@ fn typecheck_json_emits_full_report() {
         "typecheck",
         "typecheck.violation",
         "route.walk",
+        "route.walk.convert",
         "typecheck.emptiness",
     ] {
         assert!(
