@@ -168,16 +168,20 @@ impl Nta {
     /// each.
     fn reachability(&self) -> Vec<Option<Recipe>> {
         let mut recipe: Vec<Option<Recipe>> = vec![None; self.n_states as usize];
+        let mut unmarked = recipe.len();
         for (&a, qs) in &self.leaf {
             for q in qs.iter() {
                 if recipe[q.index()].is_none() {
                     recipe[q.index()] = Some(Recipe::Leaf(a));
+                    unmarked -= 1;
                 }
             }
         }
         // Saturate: a transition fires once both sources are reachable.
-        let mut changed = true;
-        while changed {
+        // Once every state has a recipe, later passes could only fill
+        // `None`s, so the sweep stops there.
+        let mut changed = unmarked > 0;
+        'sweep: while changed {
             changed = false;
             for (&(a, q1, q2), qs) in &self.node {
                 if recipe[q1.index()].is_some() && recipe[q2.index()].is_some() {
@@ -185,6 +189,10 @@ impl Nta {
                         if recipe[q.index()].is_none() {
                             recipe[q.index()] = Some(Recipe::Node(a, q1, q2));
                             changed = true;
+                            unmarked -= 1;
+                            if unmarked == 0 {
+                                break 'sweep;
+                            }
                         }
                     }
                 }
@@ -385,23 +393,30 @@ impl Nta {
         let n = self.n_states as usize;
         let reachable: Vec<bool> = self.reachability().iter().map(Option::is_some).collect();
         // Co-reachable: final states, plus sources of transitions whose
-        // target is co-reachable and whose sibling is reachable.
+        // target is co-reachable and whose sibling is reachable. The sweep
+        // stops once every state is marked.
         let mut co: Vec<bool> = vec![false; n];
+        let mut unmarked = n;
         for q in self.finals.iter() {
-            co[q.index()] = true;
+            if !co[q.index()] {
+                co[q.index()] = true;
+                unmarked -= 1;
+            }
         }
-        let mut changed = true;
-        while changed {
+        let mut changed = unmarked > 0;
+        'sweep: while changed {
             changed = false;
             for (&(_, q1, q2), qs) in &self.node {
                 if qs.iter().any(|q| co[q.index()]) {
-                    if reachable[q2.index()] && !co[q1.index()] {
-                        co[q1.index()] = true;
-                        changed = true;
+                    for (q, sibling) in [(q1, q2), (q2, q1)] {
+                        if reachable[sibling.index()] && !co[q.index()] {
+                            co[q.index()] = true;
+                            changed = true;
+                            unmarked -= 1;
+                        }
                     }
-                    if reachable[q1.index()] && !co[q2.index()] {
-                        co[q2.index()] = true;
-                        changed = true;
+                    if unmarked == 0 {
+                        break 'sweep;
                     }
                 }
             }

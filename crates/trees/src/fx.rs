@@ -32,11 +32,18 @@ impl Hasher for FxHasher {
         self.hash
     }
 
+    /// Folds little-endian 8-byte words, then the tail zero-padded to a
+    /// word.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add_to_hash(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
+            buf[..tail.len()].copy_from_slice(tail);
             self.add_to_hash(u64::from_le_bytes(buf));
         }
     }
@@ -118,5 +125,52 @@ mod tests {
         let mut c = FxHasher::default();
         c.write(b"hello world, this is more than eight bytez");
         assert_ne!(a.finish(), c.finish());
+    }
+
+    /// Pins the slice-hash values: every `FxHashMap` keyed by slices,
+    /// vectors or strings keeps its table layout (and so its iteration
+    /// order) only while these stay put.
+    #[test]
+    fn slice_hash_values_are_pinned() {
+        use std::hash::Hash;
+        const BYTES: [u64; 25] = [
+            0x0000000000000000,
+            0x805c52deae767467,
+            0xe4aeaa3510726467,
+            0x367ea88293eb6467,
+            0x7f24e18d95eb6467,
+            0xcd49741895eb6467,
+            0xdd63881895eb6467,
+            0x7f00881895eb6467,
+            0xa500881895eb6467,
+            0x7d7ce06c811bb5d3,
+            0x93f8636e14159dd3,
+            0xb7dd7a54511e9dd3,
+            0xadb677cc5b1e9dd3,
+            0x7ca4874b5b1e9dd3,
+            0xde65e34b5b1e9dd3,
+            0x2a80e34b5b1e9dd3,
+            0x5880e34b5b1e9dd3,
+            0x3418593369e13df0,
+            0xd33cc5a26496bdf0,
+            0x73b38e448c75bdf0,
+            0x8866dd294a75bdf0,
+            0x5ab9e5b64a75bdf0,
+            0x038d89b64a75bdf0,
+            0x62ca89b64a75bdf0,
+            0x78ca89b64a75bdf0,
+        ];
+        let bytes: Vec<u8> = (0..24u32).map(|i| (i * 37 + 11) as u8).collect();
+        for (len, &want) in BYTES.iter().enumerate() {
+            let mut h = FxHasher::default();
+            h.write(&bytes[..len]);
+            assert_eq!(h.finish(), want, "length {len}");
+        }
+        let mut h = FxHasher::default();
+        vec![1u64, u64::MAX, 0x0123_4567_89ab_cdef].hash(&mut h);
+        assert_eq!(h.finish(), 0x5902d692e37ada08);
+        let mut h = FxHasher::default();
+        "typechecking for XML transformers".hash(&mut h);
+        assert_eq!(h.finish(), 0x3527666de77c301e);
     }
 }

@@ -63,7 +63,6 @@ pub fn violation_nta(
             obs::record("walk.fixpoint_steps", ws.fixpoint_steps);
             obs::record("walk.worklist_peak", ws.worklist_peak);
             obs::record("walk.rounds", ws.rounds);
-            obs::record("walk.masks_interned", ws.masks_interned);
             obs::record("walk.behaviors_interned", ws.behaviors_interned);
             obs::record("walk.kernel.words", ws.words);
             obs::record("walk.kernel.rows", ws.kernel_rows);

@@ -55,11 +55,18 @@
 //!   — or any pair under a symbol with no `Down` rules on a side —
 //!   collapse to one fixpoint run; [`WalkStats::memo_hits`] counts the
 //!   collapses. Frontier jobs are deduped per round on the same key.
+//! * **Semi-naive fixpoint** — [`Walker::solve`] keeps, per state, the
+//!   arena row count at its last pop and builds `Stay`/`Fork` candidates
+//!   only from rows appended since; older rows' candidates are already in
+//!   the upward closure, so only no-op insertions are skipped.
 //! * **Canonical replay** — each generation of unmemoized compositions is
 //!   evaluated as one batch, its results interned in job-list order, and
 //!   the reference discovery loop replayed verbatim against the memo, so
 //!   state numbering — and therefore every downstream artifact — matches
-//!   the reference build.
+//!   the reference build. The replay checks resolved pairs in dense flag
+//!   rows ([`Resolved`]), reads each key's DBTA state from its memo slot
+//!   after the first interning, and logs transitions so the `node` map is
+//!   filled in one pass per round with the same insertion sequence.
 //! * **Incremental discovery** — the frontier scan keeps a `scanned`
 //!   cursor over the triple arena: a round enumerates only pairs
 //!   involving triples interned since the previous round (older pairs
@@ -76,11 +83,12 @@
 //! records the measurements that retired the work-stealing frontier.
 
 use crate::error::TypecheckError;
+use std::collections::hash_map::Entry;
 use xmltc_automata::state::StateSet;
 use xmltc_automata::{Dbta, State};
 use xmltc_core::machine::{Action, Move, PebbleAutomaton};
 use xmltc_obs::journal;
-use xmltc_trees::{FxHashMap, FxHashSet, Symbol};
+use xmltc_trees::{FxHashMap, Symbol};
 
 /// Arena id of a bitset row (in row units: the row occupies words
 /// `id * words .. (id + 1) * words` of its arena).
@@ -201,31 +209,24 @@ fn flatten(lists: &[Vec<RowRef>], arena: &[u64], words: usize) -> FlatBehavior {
 }
 
 /// Content-addressed behaviour store; equal behaviours share one id, so
-/// triple identity and memo keys compare `u32`s. `rows_seen` tracks the
-/// distinct exit-set rows occurring in interned behaviours (the kernel
-/// analogue of the old mask arena, reported as
-/// [`WalkStats::masks_interned`]).
+/// triple identity and memo keys compare `u32`s.
 #[derive(Default)]
 struct BehaviorArena {
     index: FxHashMap<FlatBehavior, BehaviorId>,
     behaviors: Vec<FlatBehavior>,
-    rows_seen: FxHashSet<Vec<u64>>,
 }
 
 impl BehaviorArena {
-    fn intern(&mut self, b: FlatBehavior, words: usize) -> BehaviorId {
-        if let Some(&id) = self.index.get(&b) {
-            return id;
-        }
-        for row in b.rows.chunks_exact(words) {
-            if !self.rows_seen.contains(row) {
-                self.rows_seen.insert(row.to_vec());
+    fn intern(&mut self, b: FlatBehavior) -> BehaviorId {
+        match self.index.entry(b) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = self.behaviors.len() as BehaviorId;
+                self.behaviors.push(e.key().clone());
+                e.insert(id);
+                id
             }
         }
-        let id = self.behaviors.len() as BehaviorId;
-        self.index.insert(b.clone(), id);
-        self.behaviors.push(b);
-        id
     }
 }
 
@@ -255,13 +256,15 @@ struct ProjArena {
 
 impl ProjArena {
     fn intern(&mut self, p: Projection) -> ProjId {
-        if let Some(&id) = self.index.get(&p) {
-            return id;
+        match self.index.entry(p) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = self.projs.len() as ProjId;
+                self.projs.push(e.key().clone());
+                e.insert(id);
+                id
+            }
         }
-        let id = self.projs.len() as ProjId;
-        self.index.insert(p.clone(), id);
-        self.projs.push(p);
-        id
     }
 }
 
@@ -550,6 +553,10 @@ struct Workspace {
     wl: Vec<u32>,
     /// `inq[q]` ⟺ `q` is on `wl`; all-false between runs.
     inq: Vec<bool>,
+    /// `since[q]` = arena row count when `q` was last popped (or when the
+    /// run started): older rows already fed `q`'s `Stay`/`Fork`
+    /// candidates.
+    since: Vec<RowId>,
     scratch: Scratch,
     /// Buffer for [`FixCtx::down_rdeps`], refilled per composition.
     down_rdeps: Vec<Vec<u32>>,
@@ -563,6 +570,7 @@ impl Workspace {
             pos: vec![Vec::new(); n_states],
             wl: Vec::new(),
             inq: vec![false; n_states],
+            since: vec![0; n_states],
             scratch: Scratch::default(),
             down_rdeps: vec![Vec::new(); n_states],
         }
@@ -707,8 +715,10 @@ impl Walker {
                 &ctx,
                 &mut ws.root,
                 &mut ws.arena,
+                0,
                 &mut ws.wl,
                 &mut ws.inq,
+                &mut ws.since,
                 &mut ws.scratch,
                 stats,
             );
@@ -738,16 +748,19 @@ impl Walker {
         self.sym_index[&sym]
     }
 
-    /// Pushes all resolution candidates of state `q` against the current
-    /// `r` into `scratch.cands` as flat rows. Candidates need not be
-    /// mutually minimal — the [`ac_insert_min`] merge in [`Walker::solve`]
-    /// filters them.
+    /// Pushes the resolution candidates of state `q` against the current
+    /// `r` into `scratch.cands` as flat rows. `Stay` and `Fork` candidates
+    /// are built only from rows with id `≥ since` (for `Fork`, pairs with
+    /// at least one such member); `Down` candidates are always rebuilt.
+    /// Candidates need not be mutually minimal — the [`ac_insert_min`]
+    /// merge in [`Walker::solve`] filters them.
     fn candidates(
         &self,
         ctx: &FixCtx<'_>,
         r: &[Vec<RowRef>],
         arena: &[u64],
         q: usize,
+        since: RowId,
         scratch: &mut Scratch,
     ) {
         let words = self.words;
@@ -759,15 +772,18 @@ impl Walker {
                 }
                 Act::Fork(q1, q2) => {
                     for x in &r[q1 as usize] {
+                        let x_new = x.id >= since;
                         let xa = row_at(arena, x.id, words);
                         for y in &r[q2 as usize] {
-                            let ya = row_at(arena, y.id, words);
-                            scratch.cands.extend(xa.iter().zip(ya).map(|(a, b)| a | b));
+                            if x_new || y.id >= since {
+                                let ya = row_at(arena, y.id, words);
+                                scratch.cands.extend(xa.iter().zip(ya).map(|(a, b)| a | b));
+                            }
                         }
                     }
                 }
                 Act::Stay(p) => {
-                    for x in &r[p as usize] {
+                    for x in r[p as usize].iter().filter(|x| x.id >= since) {
                         scratch.cands.extend_from_slice(row_at(arena, x.id, words));
                     }
                 }
@@ -830,28 +846,40 @@ impl Walker {
         }
     }
 
-    /// Chaotic-iteration worklist loop: pops a state, recomputes its
+    /// Chaotic-iteration worklist loop: pops a state, builds its
     /// candidates, and re-enqueues its readers when its antichain grew.
     /// On entry `wl` must list every state whose candidates may exceed `r`
     /// and `inq` must flag exactly the listed states; on exit `wl` is
     /// empty and `inq` all-false again, ready for the next run.
+    ///
+    /// Semi-naive: rows below `fresh` (the arena row count when the run's
+    /// lists were last a `Stay`/`Fork` fixpoint) and rows that existed at
+    /// a state's previous pop have already fed that state's `Stay`/`Fork`
+    /// candidates. Rows are append-only and upward closures only grow, so
+    /// rebuilding those candidates could only make [`ac_insert_min`] calls
+    /// that return false without writing; skipping them leaves every
+    /// list, row id and counter unchanged.
     #[allow(clippy::too_many_arguments)]
     fn solve(
         &self,
         ctx: &FixCtx<'_>,
         r: &mut [Vec<RowRef>],
         arena: &mut Vec<u64>,
+        fresh: RowId,
         wl: &mut Vec<u32>,
         inq: &mut [bool],
+        since: &mut [RowId],
         scratch: &mut Scratch,
         stats: &mut JobStats,
     ) {
         let words = self.words;
+        since.fill(fresh);
         stats.peak = stats.peak.max(wl.len() as u64);
         while let Some(q) = wl.pop() {
             inq[q as usize] = false;
             stats.steps += 1;
-            self.candidates(ctx, r, arena, q as usize, scratch);
+            let from = std::mem::replace(&mut since[q as usize], (arena.len() / words) as RowId);
+            self.candidates(ctx, r, arena, q as usize, from, scratch);
             let cands = std::mem::take(&mut scratch.cands);
             let mut grew = false;
             for chunk in cands.chunks_exact(words) {
@@ -898,6 +926,7 @@ impl Walker {
         ups: &[(u32, u32)],
         wl: &mut Vec<u32>,
         inq: &mut [bool],
+        since: &mut [RowId],
         scratch: &mut Scratch,
         stats: &mut JobStats,
     ) -> Option<FlatBehavior> {
@@ -907,6 +936,8 @@ impl Walker {
         for (p, r) in pos.iter_mut().zip(root) {
             p.clone_from(r);
         }
+        // The root lists are a full fixpoint: only the up rows are new.
+        let fresh = (arena.len() / self.words) as RowId;
         for &(q, target) in ups {
             scratch.row.clear();
             scratch.row.resize(self.words, 0);
@@ -929,7 +960,7 @@ impl Walker {
                 }
             }
         }
-        self.solve(ctx, pos, arena, wl, inq, scratch, stats);
+        self.solve(ctx, pos, arena, fresh, wl, inq, since, scratch, stats);
         Some(flatten(pos, arena, self.words))
     }
 
@@ -951,6 +982,7 @@ impl Walker {
             pos,
             wl,
             inq,
+            since,
             scratch,
             down_rdeps,
         } = ws;
@@ -979,13 +1011,15 @@ impl Walker {
             children,
             down_rdeps: if use_down { down_rdeps.as_slice() } else { &[] },
         };
-        // Root run: only the `Down` candidates can exceed the base.
+        // Root run: only the `Down` candidates can exceed the base, which
+        // is a `Stay`/`Fork` fixpoint.
         if use_down && !table.down_states.is_empty() {
             for &q in &table.down_states {
                 inq[q as usize] = true;
                 wl.push(q);
             }
-            self.solve(&ctx, root, arena, wl, inq, scratch, stats);
+            let fresh = (arena.len() / words) as RowId;
+            self.solve(&ctx, root, arena, fresh, wl, inq, since, scratch, stats);
         }
         // Accepting iff the initial configuration resolves with no exits
         // (the popcount-sorted list puts an empty row first if present).
@@ -998,6 +1032,7 @@ impl Walker {
             &table.up_left,
             wl,
             inq,
+            since,
             scratch,
             stats,
         );
@@ -1009,6 +1044,7 @@ impl Walker {
             &table.up_right,
             wl,
             inq,
+            since,
             scratch,
             stats,
         );
@@ -1063,10 +1099,10 @@ fn compute_batch(
 /// positional ones (which alias the root when the position admits no
 /// up-moves). Called in canonical job order, so arena ids are
 /// deterministic.
-fn intern_raw(raw: RawTriple, behaviors: &mut BehaviorArena, words: usize) -> TripleIds {
-    let root_id = behaviors.intern(raw.root, words);
+fn intern_raw(raw: RawTriple, behaviors: &mut BehaviorArena) -> TripleIds {
+    let root_id = behaviors.intern(raw.root);
     let position = |b: Option<FlatBehavior>, behaviors: &mut BehaviorArena| match b {
-        Some(b) => behaviors.intern(b, words),
+        Some(b) => behaviors.intern(b),
         None => root_id,
     };
     TripleIds {
@@ -1094,6 +1130,52 @@ fn intern_triple(
     index.insert(ids, q);
     triples.push(ids);
     Ok(q)
+}
+
+/// Which transition-table pairs the replay has resolved, one flag per
+/// `(binary symbol, x, y)`. Pair `(x, y)` with `t = max(x, y)` sits in
+/// the shell `t² .. (t + 1)²` — `(t, 0..=t)` then `(0..t, t)`, the
+/// frontier's enumeration order — so each symbol's flags are one flat
+/// buffer that only grows at its end as triples are interned: no per-row
+/// allocation, no re-layout, no hash probe.
+struct Resolved {
+    rows: Vec<Vec<bool>>,
+}
+
+impl Resolved {
+    fn new(n_binaries: usize) -> Resolved {
+        Resolved {
+            rows: vec![Vec::new(); n_binaries],
+        }
+    }
+
+    #[inline]
+    fn cell(x: usize, y: usize) -> usize {
+        if x >= y {
+            x * x + y
+        } else {
+            y * y + y + 1 + x
+        }
+    }
+
+    /// Makes room for every pair over `m` triples.
+    fn grow(&mut self, m: usize) {
+        for row in &mut self.rows {
+            if row.len() < m * m {
+                row.resize(m * m, false);
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, b: usize, x: usize, y: usize) -> bool {
+        self.rows[b][Self::cell(x, y)]
+    }
+
+    #[inline]
+    fn set(&mut self, b: usize, x: usize, y: usize) {
+        self.rows[b][Self::cell(x, y)] = true;
+    }
 }
 
 /// Options for [`walking_to_dbta_with`].
@@ -1144,8 +1226,6 @@ pub struct WalkStats {
     pub rounds: u64,
     /// ignored: the solver is sequential; kept because perfbench names it
     pub parallel_batches: u64,
-    /// Distinct exit-set rows (masks) occurring in interned behaviours.
-    pub masks_interned: u64,
     /// Distinct behaviours interned.
     pub behaviors_interned: u64,
     /// States of the resulting DBTA.
@@ -1196,7 +1276,10 @@ pub fn walking_to_dbta_with(
     let mut projector = Projector::new(walker.tables.len());
     let mut triples: Vec<TripleIds> = Vec::new();
     let mut index: FxHashMap<TripleIds, State> = FxHashMap::default();
-    let mut memo: FxHashMap<(u32, ProjId, ProjId), TripleIds> = FxHashMap::default();
+    // Projected key → slot; `slots[i]` is the composed triple of the `i`th
+    // distinct key, plus its DBTA state once the replay first interned it.
+    let mut memo: FxHashMap<(u32, ProjId, ProjId), u32> = FxHashMap::default();
+    let mut slots: Vec<(TripleIds, Option<State>)> = Vec::new();
     let mut leaf: FxHashMap<Symbol, State> = FxHashMap::default();
     let mut node: FxHashMap<(Symbol, State, State), State> = FxHashMap::default();
     let mut rounds = 0u64;
@@ -1212,12 +1295,21 @@ pub fn walking_to_dbta_with(
         .collect();
     let raws = compute_batch(&walker, &leaf_jobs, &projector.arena.projs, &mut job_stats);
     for (&sym, raw) in leaf_syms.iter().zip(raws) {
-        let ids = intern_raw(raw, &mut behaviors, words);
+        let ids = intern_raw(raw, &mut behaviors);
         let q = intern_triple(ids, &mut triples, &mut index, limit)?;
         leaf.insert(sym, q);
     }
 
-    let binaries = alphabet.binaries();
+    let binaries: Vec<(Symbol, u32)> = alphabet
+        .binaries()
+        .into_iter()
+        .map(|sym| (sym, walker.slot(sym)))
+        .collect();
+    let mut done = Resolved::new(binaries.len());
+    done.grow(triples.len());
+    // The replay's transitions in discovery order, moved into `node` once
+    // per round.
+    let mut log: Vec<((Symbol, State, State), State)> = Vec::new();
     // Incremental scan state: `scanned` counts triples whose pair-space
     // the frontier has already enumerated, and `col[s]` is the replay's
     // per-row column cursor. Both only advance, so across the whole
@@ -1226,7 +1318,7 @@ pub fn walking_to_dbta_with(
     // per round was the dominant sequential cost on saturated frontiers
     // (O(rounds · m²) hash probes for an m-class machine).
     let mut scanned = 0usize;
-    let mut col: Vec<u32> = Vec::new();
+    let mut col: Vec<u32> = vec![0; triples.len()];
     loop {
         rounds += 1;
         // Frontier: every composition key over pairs involving a triple
@@ -1235,25 +1327,23 @@ pub fn walking_to_dbta_with(
         // so only the new rows and columns can need jobs. Enumeration
         // order (new-triple-major, `(t, 0..=t)` then `(0..t, t)`, symbols
         // innermost) is a pure function of the interned-triple sequence;
-        // jobs are deduped on the projected key so identical jobs solve
-        // once per round.
+        // a key gets its slot, and its job, the first time it is seen.
         let mut jobs: Vec<Job> = Vec::new();
-        let mut seen: FxHashSet<(u32, ProjId, ProjId)> = FxHashSet::default();
         let len = triples.len();
         for t in scanned..len {
             for p in 0..=2 * t {
                 let (x, y) = if p <= t { (t, p) } else { (p - t - 1, t) };
-                for &sym in &binaries {
-                    if node.contains_key(&(sym, State(x as u32), State(y as u32))) {
+                for (b, &(_, ti)) in binaries.iter().enumerate() {
+                    if done.get(b, x, y) {
                         continue;
                     }
-                    let ti = walker.slot(sym);
                     let key = (
                         ti,
                         projector.id(&walker, &behaviors, ti, 0, triples[x].left),
                         projector.id(&walker, &behaviors, ti, 1, triples[y].right),
                     );
-                    if !memo.contains_key(&key) && seen.insert(key) {
+                    if let Entry::Vacant(e) = memo.entry(key) {
+                        e.insert((slots.len() + jobs.len()) as u32);
                         jobs.push(Job {
                             table: ti,
                             children: Some((key.1, key.2)),
@@ -1269,11 +1359,10 @@ pub fn walking_to_dbta_with(
         }
         if !jobs.is_empty() {
             let raws = compute_batch(&walker, &jobs, &projector.arena.projs, &mut job_stats);
-            for (job, raw) in jobs.iter().zip(raws) {
-                let (l, r) = job.children.expect("binary job");
-                let ids = intern_raw(raw, &mut behaviors, words);
-                memo.insert((job.table, l, r), ids);
-            }
+            slots.extend(
+                raws.into_iter()
+                    .map(|raw| (intern_raw(raw, &mut behaviors), None)),
+            );
         }
 
         // Canonical replay: interns triples and transitions in a fixed
@@ -1288,38 +1377,44 @@ pub fn walking_to_dbta_with(
         // it stopped instead of rescanning resolved pairs.
         let mut complete = true;
         'replay: loop {
-            if col.len() < triples.len() {
-                col.resize(triples.len(), 0);
-            }
             let mut progressed = false;
             let mut s1i = 0usize;
             while s1i < triples.len() {
-                let s1 = State(s1i as u32);
                 while (col[s1i] as usize) < triples.len() {
-                    let s2 = State(col[s1i]);
-                    for &sym in &binaries {
-                        for (x, y) in [(s1, s2), (s2, s1)] {
-                            if node.contains_key(&(sym, x, y)) {
+                    let s2i = col[s1i] as usize;
+                    for (b, &(sym, ti)) in binaries.iter().enumerate() {
+                        for (x, y) in [(s1i, s2i), (s2i, s1i)] {
+                            if done.get(b, x, y) {
                                 continue;
                             }
-                            let ti = walker.slot(sym);
                             let key = (
                                 ti,
-                                projector.id(&walker, &behaviors, ti, 0, triples[x.index()].left),
-                                projector.id(&walker, &behaviors, ti, 1, triples[y.index()].right),
+                                projector.id(&walker, &behaviors, ti, 0, triples[x].left),
+                                projector.id(&walker, &behaviors, ti, 1, triples[y].right),
                             );
-                            let Some(&ids) = memo.get(&key) else {
+                            let Some(&slot) = memo.get(&key) else {
                                 complete = false;
                                 break 'replay;
                             };
-                            let q = intern_triple(ids, &mut triples, &mut index, limit)?;
-                            node.insert((sym, x, y), q);
+                            let (ids, state) = &mut slots[slot as usize];
+                            let q = match *state {
+                                Some(q) => q,
+                                None => *state.insert(intern_triple(
+                                    *ids,
+                                    &mut triples,
+                                    &mut index,
+                                    limit,
+                                )?),
+                            };
+                            done.set(b, x, y);
+                            log.push(((sym, State(x as u32), State(y as u32)), q));
                         }
                     }
                     col[s1i] += 1;
                     progressed = true;
                     if col.len() < triples.len() {
                         col.resize(triples.len(), 0);
+                        done.grow(triples.len());
                     }
                 }
                 s1i += 1;
@@ -1328,9 +1423,14 @@ pub fn walking_to_dbta_with(
                 break;
             }
         }
+        // One tight pass per round, in replay order. `node` is never
+        // reserved (no `extend`): its table layout fixes the iteration
+        // order of everything built from the DBTA, down to counterexamples.
+        for (k, q) in log.drain(..) {
+            node.insert(k, q);
+        }
         if journal::enabled() {
             journal::counter("walk.triples", triples.len() as u64);
-            journal::counter("walk.masks_arena", behaviors.rows_seen.len() as u64);
             journal::counter("walk.behaviors_arena", behaviors.behaviors.len() as u64);
             journal::counter("walk.projections_arena", projector.arena.projs.len() as u64);
             journal::counter("walk.memo_misses", (leaf.len() + memo.len()) as u64);
@@ -1358,7 +1458,6 @@ pub fn walking_to_dbta_with(
         fixpoint_steps: job_stats.steps,
         worklist_peak: job_stats.peak,
         rounds,
-        masks_interned: behaviors.rows_seen.len() as u64,
         behaviors_interned: behaviors.behaviors.len() as u64,
         dbta_states: triples.len() as u64,
         words: words as u64,
